@@ -93,7 +93,7 @@ void SnapshotGuest(void* arg) {
 }
 
 void RunSnapshotBench(benchmark::State& state, lw::SnapshotMode mode,
-                      uint32_t hot_page_limit = 64) {
+                      uint32_t hot_page_limit = lw::kUnlimitedHotPages) {
   int n = static_cast<int>(state.range(0));
   uint64_t solutions = 0;
   uint64_t snapshots = 0;

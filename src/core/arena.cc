@@ -200,8 +200,8 @@ GuestArena::GuestArena(const Layout& layout)
   base_ = static_cast<uint8_t*>(mem);
 
   // Guard pages are permanently inaccessible.
-  LW_CHECK(mprotect(base_ + static_cast<size_t>(guard_lo_) * kPageSize,
-                    static_cast<size_t>(guard_hi_ - guard_lo_) * kPageSize, PROT_NONE) == 0);
+  LW_CHECK(Mprotect(base_ + static_cast<size_t>(guard_lo_) * kPageSize,
+                    static_cast<size_t>(guard_hi_ - guard_lo_) * kPageSize, PROT_NONE));
 
   // No signal-state changes here: the SIGSEGV handler and sigaltstack are
   // installed lazily by the first SetCowEnabled(true), so fault-free engine
@@ -223,11 +223,11 @@ void GuestArena::SetCowEnabled(bool enabled) {
   cow_enabled_ = enabled;
   if (!enabled) {
     // Everything writable; dirty tracking is meaningless from here on.
-    LW_CHECK(mprotect(base_, static_cast<size_t>(guard_lo_) * kPageSize,
-                      PROT_READ | PROT_WRITE) == 0);
-    LW_CHECK(mprotect(base_ + static_cast<size_t>(guard_hi_) * kPageSize,
+    LW_CHECK(Mprotect(base_, static_cast<size_t>(guard_lo_) * kPageSize,
+                      PROT_READ | PROT_WRITE));
+    LW_CHECK(Mprotect(base_ + static_cast<size_t>(guard_hi_) * kPageSize,
                       size_ - static_cast<size_t>(guard_hi_) * kPageSize,
-                      PROT_READ | PROT_WRITE) == 0);
+                      PROT_READ | PROT_WRITE));
     dirty_.Clear();
   } else {
     EnsureGlobalHandlerInstalled();
@@ -237,78 +237,51 @@ void GuestArena::SetCowEnabled(bool enabled) {
 
 void GuestArena::ProtectAll() {
   LW_CHECK(cow_enabled_);
-  LW_CHECK(mprotect(base_, static_cast<size_t>(guard_lo_) * kPageSize, PROT_READ) == 0);
-  LW_CHECK(mprotect(base_ + static_cast<size_t>(guard_hi_) * kPageSize,
-                    size_ - static_cast<size_t>(guard_hi_) * kPageSize, PROT_READ) == 0);
+  LW_CHECK(Mprotect(base_, static_cast<size_t>(guard_lo_) * kPageSize, PROT_READ));
+  LW_CHECK(Mprotect(base_ + static_cast<size_t>(guard_hi_) * kPageSize,
+                    size_ - static_cast<size_t>(guard_hi_) * kPageSize, PROT_READ));
   dirty_.Clear();
 }
 
-void GuestArena::ReprotectDirty() {
+void GuestArena::ReprotectDirty(const uint8_t* skip) {
+  ProtectPages(dirty_.pages(), dirty_.count(), skip);
+  dirty_.Clear();
+}
+
+void GuestArena::ProtectPages(const uint32_t* pages, uint32_t n, const uint8_t* skip) {
   LW_CHECK(cow_enabled_);
-  const uint32_t* pages = dirty_.pages();
-  const uint32_t n = dirty_.count();
   // Coalesce consecutive pages into single mprotect calls: dirty lists are
   // generated in fault order, which for sequential writes is ascending.
   uint32_t i = 0;
   while (i < n) {
-    uint32_t run_start = pages[i];
-    uint32_t run_len = 1;
-    while (i + run_len < n && pages[i + run_len] == run_start + run_len) {
-      ++run_len;
-    }
-    LW_CHECK(mprotect(PageAddr(run_start), static_cast<size_t>(run_len) * kPageSize,
-                      PROT_READ) == 0);
-    i += run_len;
-  }
-  dirty_.Clear();
-}
-
-void GuestArena::ReprotectDirtyExcept(const uint8_t* skip) {
-  LW_CHECK(cow_enabled_);
-  const uint32_t* pages = dirty_.pages();
-  const uint32_t n = dirty_.count();
-  uint32_t i = 0;
-  while (i < n) {
-    if (skip[pages[i]] != 0) {
+    if (skip != nullptr && skip[pages[i]] != 0) {
       ++i;
       continue;
     }
     uint32_t run_start = pages[i];
     uint32_t run_len = 1;
     while (i + run_len < n && pages[i + run_len] == run_start + run_len &&
-           skip[pages[i + run_len]] == 0) {
+           (skip == nullptr || skip[pages[i + run_len]] == 0)) {
       ++run_len;
     }
-    LW_CHECK(mprotect(PageAddr(run_start), static_cast<size_t>(run_len) * kPageSize,
-                      PROT_READ) == 0);
+    ProtectRange(run_start, run_len);
     i += run_len;
   }
-  dirty_.Clear();
-}
-
-void GuestArena::UnprotectPage(uint32_t page) {
-  LW_CHECK(!InGuard(page));
-  LW_CHECK(mprotect(PageAddr(page), kPageSize, PROT_READ | PROT_WRITE) == 0);
-}
-
-void GuestArena::ProtectPage(uint32_t page) {
-  LW_CHECK(!InGuard(page));
-  LW_CHECK(mprotect(PageAddr(page), kPageSize, PROT_READ) == 0);
 }
 
 void GuestArena::UnprotectRange(uint32_t page, uint32_t count) {
   LW_CHECK(count > 0 && page + count <= num_pages_);
   LW_CHECK_MSG(page >= guard_hi_ || page + count <= guard_lo_,
                "protection range spans the guard");
-  LW_CHECK(mprotect(PageAddr(page), static_cast<size_t>(count) * kPageSize,
-                    PROT_READ | PROT_WRITE) == 0);
+  LW_CHECK(Mprotect(PageAddr(page), static_cast<size_t>(count) * kPageSize,
+                    PROT_READ | PROT_WRITE));
 }
 
 void GuestArena::ProtectRange(uint32_t page, uint32_t count) {
   LW_CHECK(count > 0 && page + count <= num_pages_);
   LW_CHECK_MSG(page >= guard_hi_ || page + count <= guard_lo_,
                "protection range spans the guard");
-  LW_CHECK(mprotect(PageAddr(page), static_cast<size_t>(count) * kPageSize, PROT_READ) == 0);
+  LW_CHECK(Mprotect(PageAddr(page), static_cast<size_t>(count) * kPageSize, PROT_READ));
 }
 
 void GuestArena::HandleWriteFault(void* addr) {
@@ -322,9 +295,15 @@ void GuestArena::HandleWriteFault(void* addr) {
   }
   ++cow_faults_;
   dirty_.MarkDirty(page);
-  if (mprotect(PageAddr(page), kPageSize, PROT_READ | PROT_WRITE) != 0) {
+  if (!Mprotect(PageAddr(page), kPageSize, PROT_READ | PROT_WRITE)) {
     DieInHandler("lwsnap: mprotect failed in fault handler\n");
   }
+}
+
+bool GuestArena::Mprotect(void* addr, size_t len, int prot) {
+  // A plain counter bump: async-signal-safe, so the fault handler uses it too.
+  ++mprotect_calls_;
+  return mprotect(addr, len, prot) == 0;
 }
 
 void GuestArena::UnpoisonShadow() {

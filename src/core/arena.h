@@ -104,17 +104,16 @@ class GuestArena {
   void ProtectAll();
 
   // Re-protects exactly the currently dirty pages and clears the dirty set.
-  // Cheaper than ProtectAll after a snapshot: cost ∝ dirty pages.
-  void ReprotectDirty();
+  // Cheaper than ProtectAll after a snapshot: cost ∝ dirty pages. Pages with
+  // skip[page] != 0 stay writable (the CoW engine's hot pages: dirtied on
+  // almost every extension, cheaper to copy eagerly than to re-fault); a
+  // non-null `skip` must cover num_pages().
+  void ReprotectDirty(const uint8_t* skip = nullptr);
 
-  // As ReprotectDirty, but pages with skip[page] != 0 stay writable (the
-  // session's hot-page prediction: pages dirtied on almost every extension are
-  // cheaper to copy eagerly than to re-fault). `skip` must cover num_pages().
-  void ReprotectDirtyExcept(const uint8_t* skip);
-
-  // Grants/revokes write access to one page (used around engine-side page copies).
-  void UnprotectPage(uint32_t page);
-  void ProtectPage(uint32_t page);
+  // Write-protects `pages` (non-guard; skip[page] != 0 skipped as above),
+  // issuing one mprotect per run of consecutive indices — callers pass sorted
+  // lists to get the coalescing.
+  void ProtectPages(const uint32_t* pages, uint32_t n, const uint8_t* skip = nullptr);
 
   // Range forms: one mprotect syscall over `count` contiguous pages starting at
   // `page`. The range must not span the guard (callers coalesce restore sets,
@@ -127,7 +126,12 @@ class GuestArena {
   DirtyTracker& dirty() { return dirty_; }
   const DirtyTracker& dirty() const { return dirty_; }
 
+  // Address-space traffic: write faults taken, and every mprotect this arena
+  // issued (the fault handler's included). In a fleet each of these takes the
+  // process-wide mmap lock and may shoot down sibling sessions' TLBs, so they
+  // are the cost that hot-page prediction exists to avoid.
   uint64_t cow_faults() const { return cow_faults_; }
+  uint64_t mprotect_calls() const { return mprotect_calls_; }
 
   // ASan only (no-op otherwise): clears shadow poison over the whole arena.
   // Instrumented guest code poisons redzones around its stack locals; once the
@@ -142,6 +146,8 @@ class GuestArena {
 
  private:
   static void EnsureGlobalHandlerInstalled();
+  // The one place the arena calls mprotect; counts the call. True on success.
+  bool Mprotect(void* addr, size_t len, int prot);
 
   uint8_t* base_ = nullptr;
   size_t size_ = 0;
@@ -152,6 +158,7 @@ class GuestArena {
   uint32_t guard_hi_ = 0;
   bool cow_enabled_ = false;  // enabled lazily by the engines that fault
   uint64_t cow_faults_ = 0;
+  uint64_t mprotect_calls_ = 0;
   DirtyTracker dirty_;
 };
 

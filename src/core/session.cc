@@ -29,7 +29,8 @@ std::string SessionStats::ToString() const {
                 "sol=%llu pages_mat=%llu pages_rst=%llu zero_dedup=%llu content_dedup=%llu "
                 "xsession_dedup=%llu cold_blobs=%llu incr_scan=%llu incr_copy=%llu "
                 "dirty_src=%s mat_by=%llu/%llu/%llu/%llu pagemap_reads=%llu sd_clears=%llu "
-                "adaptive_switches=%llu rst_mprotect=%llu rst_runs=%llu rst_skip=%llu "
+                "adaptive_switches=%llu cow_faults=%llu mprotect=%llu rst_mprotect=%llu "
+                "rst_runs=%llu rst_skip=%llu "
                 "rel_batches=%llu rel_blobs=%llu rel_locks=%llu "
                 "spilled=%llu spill_bytes=%llu faultbacks=%llu spill_compactions=%llu "
                 "snap_us=%.1f restore_us=%.1f",
@@ -56,6 +57,8 @@ std::string SessionStats::ToString() const {
                 static_cast<unsigned long long>(pagemap_entries_read),
                 static_cast<unsigned long long>(soft_dirty_clears),
                 static_cast<unsigned long long>(adaptive_switches),
+                static_cast<unsigned long long>(cow_faults),
+                static_cast<unsigned long long>(mprotect_calls),
                 static_cast<unsigned long long>(restore_mprotect_calls),
                 static_cast<unsigned long long>(restore_runs_coalesced),
                 static_cast<unsigned long long>(pages_restore_skipped),
@@ -342,6 +345,7 @@ void BacktrackSession::SwapToGuest(ucontext_t* target) {
   // the engines' whole-page reads/writes of the arena are clean (no-op outside
   // sanitized builds).
   arena_.UnpoisonShadow();
+  SyncArenaStats();
 }
 
 // ---------------------------------------------------------------------------
@@ -384,6 +388,7 @@ void BacktrackSession::MaterializeInto(const SnapshotRef& snap) {
   snap->out_mark = out_buffer_.size();
   ++stats_.snapshots;
   stats_.snapshot_ns += sw.ElapsedNanos();
+  SyncArenaStats();
 }
 
 void BacktrackSession::RestoreTo(const Snapshot& snap) {
@@ -399,6 +404,7 @@ void BacktrackSession::RestoreTo(const Snapshot& snap) {
   }
   ++stats_.restores;
   stats_.restore_ns += sw.ElapsedNanos();
+  SyncArenaStats();
 }
 
 // ---------------------------------------------------------------------------

@@ -60,6 +60,9 @@ class SessionAttachment {
   virtual void Restore(const std::shared_ptr<const void>& state) = 0;
 };
 
+// SessionOptions::hot_page_limit value that leaves the hot set uncapped.
+constexpr uint32_t kUnlimitedHotPages = UINT32_MAX;
+
 struct SessionOptions {
   size_t arena_bytes = 64ull << 20;
   size_t guest_stack_bytes = 1ull << 20;
@@ -121,13 +124,18 @@ struct SessionOptions {
   // release-storm ablation.
   bool batched_release = true;
 
-  // Hot-page prediction (CoW engine): a page dirtied in enough consecutive
-  // snapshots is left permanently writable; snapshots memcmp it and restores
-  // memcpy it eagerly, skipping the SIGSEGV + 2×mprotect round trip that
-  // dominates fine-grained workloads (the stand-in for Dune's cheap ring-0
-  // faults). At most this many pages are hot at once; 0 disables prediction.
+  // Hot-page prediction (CoW engine): a page dirtied in 4 snapshots is left
+  // permanently writable; snapshots memcmp it and restores compare-and-copy
+  // it eagerly, skipping the SIGSEGV + 2×mprotect round trip (the stand-in
+  // for Dune's cheap ring-0 faults). A hot page found unchanged in 16
+  // consecutive snapshots is demoted back into the fault protocol, so the set
+  // bounds itself to the session's steady write set. The default sets no cap:
+  // a hot page costs one 4 KiB compare per snapshot and restore, while a cold
+  // dirty page costs a fault plus mprotect calls that take the process-wide
+  // mmap lock every sibling session contends on (DESIGN.md E16). N caps the
+  // hot set at N pages and 0 disables prediction (ablations and tests).
   // Ignored by the other engines.
-  uint32_t hot_page_limit = 64;
+  uint32_t hot_page_limit = kUnlimitedHotPages;
 
   // Output policy. Default (false): guest emissions are forwarded to `output`
   // immediately (the paper's n-queens prints answers as it finds them). true:
@@ -253,6 +261,11 @@ class BacktrackSession : public GuessExecutor {
   void SwapToGuest(ucontext_t* target);
   SnapshotRef NewSnapshotShell(SnapshotKind kind);
   void EmitNow(std::string_view text);
+  // Mirrors the arena's fault/mprotect counters into stats_.
+  void SyncArenaStats() {
+    stats_.cow_faults = arena_.cow_faults();
+    stats_.mprotect_calls = arena_.mprotect_calls();
+  }
 
   SessionOptions options_;
   GuestArena arena_;

@@ -31,7 +31,9 @@ CowEngine::CowEngine(const Env& env) : SnapshotEngine(env) {
   hot_.assign(arena.num_pages(), 0);
   dirty_streak_.assign(arena.num_pages(), 0);
   clean_streak_.assign(arena.num_pages(), 0);
-  hot_pages_.reserve(env_.hot_page_limit);
+  // The limit defaults to "uncapped" (SessionOptions::hot_page_limit); the
+  // hot set can never outgrow the arena.
+  hot_pages_.reserve(std::min<size_t>(env_.hot_page_limit, arena.num_pages()));
 }
 
 void CowEngine::Materialize(Snapshot& snap, const MaterializeContext& ctx) {
@@ -43,7 +45,9 @@ void CowEngine::Materialize(Snapshot& snap, const MaterializeContext& ctx) {
   // real change. A long unchanged streak demotes the page back into the CoW
   // protocol. The memcmp + publish per hot page is slot work (workers fill
   // disjoint hot_refs_ entries); the streak/demotion bookkeeping — and every
-  // mprotect — is applied serially afterwards on the session thread.
+  // mprotect — is applied serially afterwards on the session thread. Demoted
+  // pages are collected and re-protected in coalesced runs: a phase change
+  // can demote hundreds of pages at once.
   constexpr uint8_t kHotDemoteAfter = 16;
   hot_refs_.resize(hot_pages_.size());
   RunSlots(ctx, hot_pages_.size(), [this, &arena](size_t slot) {
@@ -55,6 +59,7 @@ void CowEngine::Materialize(Snapshot& snap, const MaterializeContext& ctx) {
     return OkStatus();
   });
   size_t hot_kept = 0;
+  demoted_.clear();
   for (size_t idx = 0; idx < hot_pages_.size(); ++idx) {
     uint32_t page = hot_pages_[idx];
     if (hot_refs_[idx].valid()) {
@@ -64,7 +69,7 @@ void CowEngine::Materialize(Snapshot& snap, const MaterializeContext& ctx) {
       hot_pages_[hot_kept++] = page;
     } else if (++clean_streak_[page] >= kHotDemoteAfter) {
       hot_[page] = 0;
-      arena.ProtectPage(page);
+      demoted_.push_back(page);
       ++stats.hot_demotions;
     } else {
       ++stats.hot_unchanged_skips;
@@ -73,6 +78,8 @@ void CowEngine::Materialize(Snapshot& snap, const MaterializeContext& ctx) {
   }
   hot_pages_.resize(hot_kept);
   hot_refs_.clear();
+  std::sort(demoted_.begin(), demoted_.end());  // hot_pages_ is in promotion order
+  arena.ProtectPages(demoted_.data(), static_cast<uint32_t>(demoted_.size()));
 
   // Dirty set: the SIGSEGV protocol that built it ran on the session thread;
   // only the post-fault page publishing fans out. Dirty pages stay writable
@@ -105,11 +112,7 @@ void CowEngine::Materialize(Snapshot& snap, const MaterializeContext& ctx) {
   stats.dirty_source = DirtySource::kFaults;
   ++stats.materializes_by_faults;
   dirty_refs_.clear();
-  if (hot_pages_.empty()) {
-    arena.ReprotectDirty();
-  } else {
-    arena.ReprotectDirtyExcept(hot_.data());
-  }
+  arena.ReprotectDirty(hot_pages_.empty() ? nullptr : hot_.data());
 
   snap.map = cur_map_;  // flat: vector copy; radix: O(1) root share
   SyncStoreStats();
@@ -181,7 +184,8 @@ void CowEngine::Restore(const Snapshot& snap, const RestoreContext& ctx) {
 
 size_t CowEngine::StructureBytes() const {
   return SnapshotEngine::StructureBytes() + hot_.capacity() + dirty_streak_.capacity() +
-         clean_streak_.capacity() + hot_pages_.capacity() * sizeof(uint32_t) +
+         clean_streak_.capacity() +
+         (hot_pages_.capacity() + demoted_.capacity()) * sizeof(uint32_t) +
          (hot_refs_.capacity() + dirty_refs_.capacity()) * sizeof(PageRef);
 }
 

@@ -9,10 +9,14 @@
 // pages) and re-protects; Restore copies exactly the pages where live memory
 // diverges from the target map (dirty set + hot pages + map diff).
 //
-// Hot-page prediction: a page dirtied in enough consecutive snapshots is left
-// permanently writable; snapshots memcmp it and restores memcpy it eagerly,
+// Hot-page prediction: a page dirtied in enough snapshots is left permanently
+// writable; snapshots memcmp it and restores compare-and-copy it eagerly,
 // skipping the SIGSEGV + 2×mprotect round trip that dominates fine-grained
 // workloads. A long unchanged streak demotes the page back into the protocol.
+// The set is uncapped by default (SessionOptions::hot_page_limit): promotion
+// and demotion alone bound it to the session's steady write set, so a
+// steady-state extension takes no faults and no mprotect calls — in a fleet
+// those take the process-wide mmap lock every sibling session contends on.
 
 #ifndef LWSNAP_SRC_SNAPSHOT_COW_ENGINE_H_
 #define LWSNAP_SRC_SNAPSHOT_COW_ENGINE_H_
@@ -44,6 +48,7 @@ class CowEngine : public SnapshotEngine {
   std::vector<uint8_t> dirty_streak_;  // page -> saturating dirty-snapshot count
   std::vector<uint8_t> clean_streak_;  // hot page -> consecutive unchanged snapshots
   std::vector<uint32_t> hot_pages_;    // dense list of hot pages
+  std::vector<uint32_t> demoted_;      // scratch: pages demoted by this materialize
 
   // Slot-indexed publish results, filled (possibly by the worker team) before
   // the serial map/prediction update; cleared after every materialize.

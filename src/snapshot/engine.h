@@ -147,6 +147,12 @@ struct SnapshotEngineStats {
   // restore_mprotect_calls == 2 × restore_runs_coalesced by construction.
   uint64_t restore_mprotect_calls = 0;  // mprotect syscalls issued by restores
   uint64_t restore_runs_coalesced = 0;  // contiguous page runs those calls covered
+  // Address-space traffic mirrored from the arena by the session: every CoW
+  // write fault taken and every mprotect issued (fault handler, materialize
+  // reprotects, hot-page demotions and restores alike). Both take the
+  // process-wide mmap lock, so in a fleet they are the shared-resource cost.
+  uint64_t cow_faults = 0;
+  uint64_t mprotect_calls = 0;
   // Tracked restore candidates (CoW hot pages, soft-dirty write-set pages)
   // memcmp'd and found already byte-identical — copies saved. Full-arena
   // compare loops (incremental/scan restores) are not counted here;

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -244,6 +245,91 @@ TEST(HotPagesTest, HotLimitIsRespected) {
   EXPECT_FALSE(args.corrupted);
   EXPECT_LE(session.stats().hot_promotions,
             session.stats().hot_demotions + 1);  // never >1 hot at a time
+}
+
+// Wide write set: a branching DFS whose every extension rewrites more pages
+// than the old 64-page cap. With the default (uncapped) hot set the whole
+// write set goes hot, so steady-state extensions take no write faults and
+// make no mprotect call at all; leaf contents must match prediction-off exactly.
+constexpr int kWideDepth = 8;
+constexpr int kWideLeaves = 1 << kWideDepth;
+constexpr uint32_t kWidePages = 200;
+constexpr int kWideWarmLeaves = 8;  // promotion needs 4 dirty snapshots
+
+struct WideArgs {
+  uint64_t leaf_sum[kWideLeaves] = {};  // per-leaf checksum, in DFS order
+  uint64_t warm_faults = 0;             // session counters at the first warm leaf
+  uint64_t warm_mprotects = 0;
+  int leaves = 0;
+  bool corrupted = false;
+};
+
+void WideGuest(void* arg) {
+  auto* args = static_cast<WideArgs*>(arg);
+  auto* session = static_cast<BacktrackSession*>(CurrentExecutor());
+  auto* region = static_cast<uint32_t*>(session->heap()->Alloc(kWidePages * 4096));
+  if (region == nullptr) {
+    args->corrupted = true;
+    return;
+  }
+  std::memset(region, 0, kWidePages * 4096);
+  if (!sys_guess_strategy(StrategyKind::kDfs)) {
+    return;
+  }
+  uint32_t signature = 1;
+  for (int d = 0; d < kWideDepth; ++d) {
+    int bit = sys_guess(2);
+    const uint32_t parent = d == 0 ? 0u : signature;
+    signature = signature * 2 + static_cast<uint32_t>(bit);
+    for (uint32_t p = 0; p < kWidePages; ++p) {
+      uint32_t* page = region + p * 1024;
+      if (page[0] != parent) {
+        args->corrupted = true;  // a sibling's or stale write leaked in
+      }
+      page[0] = signature;
+      page[1 + (p + static_cast<uint32_t>(d)) % 1000] += signature * (p + 1);
+    }
+  }
+  uint64_t sum = 0;
+  for (uint32_t word = 0; word < kWidePages * 1024; ++word) {
+    sum = sum * 31 + region[word];
+  }
+  const int leaf = args->leaves++;
+  args->leaf_sum[leaf] = sum;
+  if (leaf == kWideWarmLeaves) {
+    args->warm_faults = session->stats().cow_faults;
+    args->warm_mprotects = session->stats().mprotect_calls;
+  }
+  sys_guess_fail();
+}
+
+TEST(HotPagesTest, WideWriteSetTakesNoFaultsOnceWarm) {
+  auto with = std::make_unique<WideArgs>();
+  auto without = std::make_unique<WideArgs>();
+  for (bool predict : {true, false}) {
+    SessionOptions options;
+    options.arena_bytes = 8ull << 20;
+    if (!predict) {
+      options.hot_page_limit = 0;
+    }
+    options.output = [](std::string_view) {};
+    BacktrackSession session(options);
+    WideArgs& args = predict ? *with : *without;
+    ASSERT_TRUE(session.Run(&WideGuest, &args).ok());
+    EXPECT_FALSE(args.corrupted);
+    ASSERT_EQ(args.leaves, kWideLeaves);
+    if (predict) {
+      EXPECT_GE(session.stats().hot_promotions, kWidePages);
+      // Once warm, the rest of the search neither faults nor re-protects.
+      EXPECT_EQ(session.stats().cow_faults, args.warm_faults);
+      EXPECT_EQ(session.stats().mprotect_calls, args.warm_mprotects);
+    } else {
+      EXPECT_GT(session.stats().cow_faults, kWidePages * uint64_t{kWideLeaves});
+    }
+  }
+  for (int leaf = 0; leaf < kWideLeaves; ++leaf) {
+    EXPECT_EQ(with->leaf_sum[leaf], without->leaf_sum[leaf]) << "leaf " << leaf;
+  }
 }
 
 // n-queens must count identically across prediction settings (end-to-end).

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "src/solver/cnf.h"
@@ -391,6 +392,123 @@ TEST(SolverServiceTest, DeepChainReusesWork) {
     // Average per-step conflicts well below a scratch solve of the base.
     EXPECT_LT(total_added / static_cast<uint64_t>(steps), 2000u);
   }
+}
+
+// Engine parity on the §3.2 workload shape: ~200 branching extends off one
+// solved root (each from the root or a recent token), replayed on the CoW
+// engine and on the full-copy baseline. Verdicts, models and conflict counts
+// must be identical; on CoW the uncapped hot set must absorb the solver's
+// steady write set, so warm extends take at most one write fault on average.
+struct ExtendRecord {
+  uint8_t result = 0;
+  uint32_t num_vars = 0;
+  uint64_t conflicts = 0;
+  std::vector<uint8_t> model_bits;
+  uint64_t cow_faults = 0;  // write faults this extend took
+};
+
+// Random graph 3-coloring: var 3*node + color. Easy to solve, yet its watch
+// lists and trail spread each extend's writes over more than 100 pages.
+constexpr int kColorNodes = 400;
+
+Cnf RandomThreeColoring(Rng* rng, int nodes, int edges) {
+  Cnf cnf;
+  for (int v = 0; v < nodes; ++v) {
+    cnf.AddDimacsClause({3 * v + 1, 3 * v + 2, 3 * v + 3});
+    for (int a = 1; a <= 3; ++a) {
+      for (int b = a + 1; b <= 3; ++b) {
+        cnf.AddDimacsClause({-(3 * v + a), -(3 * v + b)});
+      }
+    }
+  }
+  for (int e = 0; e < edges; ++e) {
+    const int u = static_cast<int>(rng->Below(nodes));
+    const int v = static_cast<int>(rng->Below(nodes));
+    for (int c = 1; c <= 3 && u != v; ++c) {
+      cnf.AddDimacsClause({-(3 * u + c), -(3 * v + c)});
+    }
+  }
+  return cnf;
+}
+
+std::vector<ExtendRecord> RunBranchingExtends(SnapshotMode mode) {
+  Rng rng(9001);
+  const Cnf base = RandomThreeColoring(&rng, kColorNodes, 800);
+  SolverServiceOptions options = SmallArena();
+  options.tuning.snapshot_mode = mode;
+  SolverService service(options);
+  auto root = service.SolveRoot(base);
+  EXPECT_TRUE(root.ok());
+  if (!root.ok()) {
+    return {};
+  }
+  std::vector<Checkpoint> window;  // recent tokens, oldest first
+  std::vector<ExtendRecord> records;
+  for (int step = 0; step < 200; ++step) {
+    const Checkpoint& parent =
+        window.empty() || rng.Below(4) == 0 ? root->token : window[rng.Below(window.size())];
+    std::vector<std::vector<Lit>> q;
+    for (uint64_t n = rng.Range(1, 3); n > 0; --n) {
+      // "node v has color c"
+      q.push_back({MakeLit(static_cast<Var>(3 * rng.Below(kColorNodes) + rng.Below(3)))});
+    }
+    const uint64_t faults_before = service.session_stats().cow_faults;
+    auto outcome = service.Extend(parent, q);
+    EXPECT_TRUE(outcome.ok()) << "step " << step;
+    if (!outcome.ok()) {
+      return records;
+    }
+    ExtendRecord record;
+    record.result = outcome->result.raw();
+    record.num_vars = outcome->num_vars;
+    record.conflicts = outcome->conflicts;
+    record.model_bits = outcome->model_bits;
+    record.cow_faults = service.session_stats().cow_faults - faults_before;
+    records.push_back(std::move(record));
+    window.push_back(std::move(outcome->token));
+    if (window.size() > 16) {
+      window.erase(window.begin());
+    }
+  }
+  return records;
+}
+
+TEST(SolverServiceTest, BranchingExtendsMatchFullCopyWithFewFaults) {
+  const std::vector<ExtendRecord> cow = RunBranchingExtends(SnapshotMode::kCow);
+  const std::vector<ExtendRecord> full = RunBranchingExtends(SnapshotMode::kFullCopy);
+  ASSERT_EQ(cow.size(), 200u);
+  ASSERT_EQ(full.size(), cow.size());
+  for (size_t i = 0; i < cow.size(); ++i) {
+    EXPECT_EQ(cow[i].result, full[i].result) << "extend " << i;
+    EXPECT_EQ(cow[i].num_vars, full[i].num_vars) << "extend " << i;
+    EXPECT_EQ(cow[i].conflicts, full[i].conflicts) << "extend " << i;
+    EXPECT_EQ(cow[i].model_bits, full[i].model_bits) << "extend " << i;
+    EXPECT_EQ(full[i].cow_faults, 0u);  // full copy never write-protects
+  }
+  // The stream must exercise both verdicts and real search.
+  size_t sat = 0;
+  uint64_t max_conflicts = 0;
+  for (const ExtendRecord& record : cow) {
+    sat += record.result == kTrue.raw() ? 1 : 0;
+    max_conflicts = std::max(max_conflicts, record.conflicts);
+  }
+  EXPECT_GT(sat, 20u);
+  EXPECT_LT(sat, cow.size() - 20);
+  EXPECT_GT(max_conflicts, 0u);
+  // Cold, an extend faults on its whole write set (>100 pages, beyond the old
+  // 64-page cap). Once warm (pages go hot after 4 dirty snapshots) extends
+  // take at most one fault on average and most take none: what still faults
+  // is growth (learnt clauses) and pages touched too rarely to stay hot.
+  EXPECT_GT(cow[0].cow_faults, 100u);
+  constexpr size_t kWarm = 20;
+  uint64_t warm_faults = 0;
+  size_t fault_free = 0;
+  for (size_t i = kWarm; i < cow.size(); ++i) {
+    warm_faults += cow[i].cow_faults;
+    fault_free += cow[i].cow_faults == 0 ? 1 : 0;
+  }
+  EXPECT_LE(warm_faults, cow.size() - kWarm);
+  EXPECT_GT(fault_free, (cow.size() - kWarm) / 2);
 }
 
 }  // namespace
